@@ -40,12 +40,12 @@ def figure5() -> None:
     for policy in (PLRU(6), MRTPLRU(6)):
         # red thread runs: accesses x2, x4, then x5 (x5 most recent)
         for idx in (0, 1, 2):
-            policy.on_instruction(valid)
+            policy.on_instruction()
             policy.on_access(idx)
         # red's load misses the dcache -> context switch to blue
         policy.on_context_switch(owner, valid, prev_tid=0, new_tid=1)
         # blue starts executing and touches x2
-        policy.on_instruction(valid)
+        policy.on_instruction()
         policy.on_access(3)
         victim = policy.select_victim(valid)
         print(f"\n{policy.name}: victim = {names[victim]}")
@@ -65,10 +65,10 @@ def figure6() -> None:
     valid = np.ones(3, dtype=bool)
     for policy in (MRTPLRU(3), LRC(3)):
         for idx in (0, 1, 2):
-            policy.on_instruction(valid)
+            policy.on_instruction()
             policy.on_access(idx)
         for _ in range(9):
-            policy.on_instruction(valid)   # ages saturate at 7
+            policy.on_instruction()   # ages saturate at 7
         # the context switch flushed the instructions using x2 and x5:
         policy.on_flush([0, 1])
         victim = policy.select_victim(valid)

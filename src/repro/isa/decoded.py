@@ -28,12 +28,23 @@ from .instructions import Instruction
 from .program import Program
 from .registers import Reg, RegClass
 
-__all__ = ["DecodedOp", "DecodedProgram"]
+__all__ = ["DecodedOp", "DecodedProgram", "Operand", "reg_operands"]
 
 #: instruction word size in bytes (``pc * 4`` is the fetch byte address)
 INST_BYTES = 4
 
 _DECODE_CACHE_ATTR = "_decoded_programs"
+
+#: one register operand as the VRMU consumes it: ``(reg, flat, is_src,
+#: is_dest)``
+Operand = Tuple[Reg, int, bool, bool]
+
+
+def reg_operands(inst: Instruction) -> Tuple[Operand, ...]:
+    """Every register ``inst`` names, in ``regs`` order, with its flat index
+    and source/destination roles resolved (the VRMU's per-operand view)."""
+    srcs, dests = inst.srcs, inst.dests
+    return tuple((r, r.flat, r in srcs, r in dests) for r in inst.regs)
 
 
 class DecodedOp:
@@ -47,7 +58,8 @@ class DecodedOp:
     __slots__ = ("inst", "pc", "srcs", "src_reads", "dests", "reads_flags",
                  "sets_flags", "is_load", "is_store", "is_branch", "is_halt",
                  "ex_latency", "addr", "line", "rd", "has_regs", "regs",
-                 "is_mem", "kill_flats", "last_use_flats", "dead_dest_flats")
+                 "is_mem", "operands", "kill_flats", "last_use_flats",
+                 "dead_dest_flats")
 
     def __init__(self, pc: int, inst: Instruction, line_bytes: int) -> None:
         self.inst = inst
@@ -71,9 +83,13 @@ class DecodedOp:
         self.rd: Optional[Reg] = inst.rd
         self.has_regs: bool = bool(inst.regs)
         #: mirrored so a DecodedOp duck-types as an Instruction for the
-        #: VRMU access/flush paths (which read only ``regs``/``dests``)
+        #: observers that wrap ``VRMU.access`` (the oracle's trace capture
+        #: reads ``regs``); the VRMU itself reads only ``operands`` and
+        #: ``is_mem``
         self.regs: Tuple[Reg, ...] = inst.regs
         self.is_mem: bool = inst.is_mem
+        #: the VRMU decode-stage lookup's operand view, built once here
+        self.operands: Tuple[Operand, ...] = reg_operands(inst)
         #: static liveness hints, ``None`` until
         #: :func:`repro.analysis.dataflow.annotate` fills them; tuples of
         #: flat register indices afterwards.  Strictly inert: only the

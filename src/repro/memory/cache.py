@@ -92,6 +92,9 @@ class Cache:
         self.num_sets = config.size_bytes // (config.assoc * config.line_bytes)
         self._sets: List[Dict[int, CacheLine]] = [dict() for _ in range(self.num_sets)]
         self._mshr: Dict[int, int] = {}  # line_addr -> fill completion cycle
+        #: highest ``now`` presented since ``_mshr`` was last pruned (-1:
+        #: none).  Accesses only raise it; the miss path prunes against it.
+        self._mshr_seen = -1
         self._lru_clock = 0
         #: [lo, hi) byte range reserved for register storage (ViReC); data
         #: loads inside it never raise the context-switch signal.
@@ -183,7 +186,8 @@ class Cache:
         line_addr, set_idx, tag = self._locate(addr)
         ways = self._sets[set_idx]
         self._lru_clock += 1
-        self._mshr = {a: c for a, c in self._mshr.items() if c > now}
+        if now > self._mshr_seen:
+            self._mshr_seen = now
 
         self.stats.inc("writes" if is_write else "reads")
 
@@ -204,6 +208,7 @@ class Cache:
                                 hit=True, under_fill=True)
 
         # -- miss ------------------------------------------------------------
+        self._retire_fills()
         if is_write and cfg.write_policy == "wt":
             # no-write-allocate: forward the store downstream, do not fill
             done = self._next_access(now + cfg.latency, line_addr,
@@ -240,11 +245,27 @@ class Cache:
         switch = is_load_data and not self.in_register_region(addr)
         return AccessResult(complete_at=fill_done, hit=False, switch_signal=switch)
 
+    def _retire_fills(self) -> None:
+        """Free the MSHRs of fills complete by ``_mshr_seen``.
+
+        Exactly the set a prune on every access would leave: an entry
+        survives all those prunes iff its fill ends after every ``now``
+        presented since it was allocated.  ``now`` is not monotonic (LSQ
+        and BSI requests interleave out of order), hence the reset: an
+        entry allocated after a high-``now`` access must not be judged
+        against that access's ``now``.
+        """
+        if self._mshr_seen >= 0:
+            seen = self._mshr_seen
+            self._mshr = {a: c for a, c in self._mshr.items() if c > seen}
+            self._mshr_seen = -1
+
     # -- prefetch insertion (used by the stride prefetcher) --------------------
     def prefetch_fill(self, now: int, line_addr: int, requestor: int = 0) -> None:
         """Insert ``line_addr`` speculatively (no demand completion)."""
         _, set_idx, tag = self._locate(line_addr)
         ways = self._sets[set_idx]
+        self._retire_fills()
         if tag in ways or len(self._mshr) >= self.config.mshrs:
             return
         try:

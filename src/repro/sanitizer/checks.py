@@ -91,10 +91,11 @@ def check_policy(core, cycle: int) -> Optional[SanitizerViolation]:
     ts = vrmu.tagstore
     pol = ts.policy
     cid = core.core_id
+    # one read of each field per check: ``A`` is derived on every read
+    T, C, A, D = pol.T, pol.C, pol.A, pol.D
     for slot in map(int, ts.valid_slots()):
-        t_bits, c_bit, a_bits = (int(pol.T[slot]), int(pol.C[slot]),
-                                 int(pol.A[slot]))
-        d_bit = int(pol.D[slot])
+        t_bits, c_bit, a_bits, d_bit = (int(T[slot]), int(C[slot]),
+                                        int(A[slot]), int(D[slot]))
         if not (0 <= t_bits <= T_MAX and c_bit in (0, 1)
                 and 0 <= a_bits <= A_MAX and d_bit in (0, 1)):
             return _v("policy.word",

@@ -161,7 +161,7 @@ def _simulate_policy(trace: RegisterTrace, capacity: int,
                      if (event.tid, r) in slot_of]
             pol.on_flush(slots)
             continue
-        pol.on_instruction(valid)
+        pol.on_instruction()
         inst_slots = []
         for reg in event.regs:
             key = (event.tid, reg)

@@ -19,7 +19,11 @@ Metadata fields per entry (Table in Section 5.1: T/C/A = 3/1/3 bits):
     thread resumes, so they are retained over committed ones (Section 4.2).
 ``A`` (age)
     3-bit saturating pseudo-LRU age: 0 on access, +1 on every subsequent
-    instruction's register-file access.
+    instruction's register-file access.  Derived on read rather than
+    stored: each entry keeps the instruction clock of its last age reset
+    and ``A = min(A_MAX, clock - age_base)``.  That equals the hardware's
+    per-instruction increment exactly because ages are only ever read
+    for valid entries, and every (re)insert resets the age.
 ``D`` (dead)
     Compiler-assisted liveness hint: set at commit time for registers the
     static analysis (:mod:`repro.analysis.dataflow`) proved dead-on-commit
@@ -84,9 +88,10 @@ class ReplacementPolicy:
         self.capacity = capacity
         self.T = np.zeros(capacity, dtype=np.int64)
         self.C = np.ones(capacity, dtype=np.int64)
-        self.A = np.zeros(capacity, dtype=np.int64)
         self.D = np.zeros(capacity, dtype=np.int64)  # dead-on-commit hint
         self.stamp = np.zeros(capacity, dtype=np.int64)  # exact recency
+        #: instruction clock at each entry's last age reset (see ``A``)
+        self.age_base = np.zeros(capacity, dtype=np.int64)
         self._clock = 0
 
     @classmethod
@@ -99,15 +104,28 @@ class ReplacementPolicy:
                 f"unknown policy {spec!r}; choose from {sorted(POLICIES)}")
         return policy_cls(capacity)
 
+    @property
+    def A(self) -> np.ndarray:
+        """3-bit saturating ages, derived from the instruction clock.
+
+        A fresh array on every read: it is exact for valid entries only,
+        and writing into it changes nothing (use :meth:`reset_age`).
+        """
+        return np.minimum(self._clock - self.age_base, A_MAX)
+
     # -- event hooks --------------------------------------------------------
-    def on_instruction(self, valid: np.ndarray) -> None:
-        """One instruction accessed the register file: age everyone."""
+    def on_instruction(self) -> None:
+        """One instruction accessed the register file: age everyone (by
+        advancing the clock that ``A`` is derived from)."""
         self._clock += 1
-        np.minimum(self.A + 1, A_MAX, out=self.A, where=valid)
+
+    def reset_age(self, idx: int) -> None:
+        """Zero entry ``idx``'s age without touching its other metadata."""
+        self.age_base[idx] = self._clock
 
     def on_access(self, idx: int) -> None:
         """Entry ``idx`` was referenced by the current instruction."""
-        self.A[idx] = 0
+        self.age_base[idx] = self._clock
         self.C[idx] = 1  # speculative commit initialization (Section 5.1)
         self.T[idx] = 0  # belongs to the running thread by construction
         self.D[idx] = 0  # referenced again: no longer dead
@@ -266,31 +284,40 @@ class SRRIP(ReplacementPolicy):
     name = "srrip"
     RRPV_MAX = 7  # reuse the 3-bit A field as the RRPV
 
+    def __init__(self, capacity: int) -> None:
+        super().__init__(capacity)
+        # RRIP does not age per instruction (aging happens at eviction
+        # time), so the RRPV is a stored array, not a clock-derived age
+        self.rrpv = np.zeros(capacity, dtype=np.int64)
+
+    @property
+    def A(self) -> np.ndarray:
+        return self.rrpv
+
+    def reset_age(self, idx: int) -> None:
+        self.rrpv[idx] = 0
+
     def on_access(self, idx: int) -> None:
         super().on_access(idx)
-        self.A[idx] = 0                      # promoted on re-reference
+        self.rrpv[idx] = 0                   # promoted on re-reference
 
     def on_insert(self, idx: int) -> None:
         super().on_insert(idx)
-        self.A[idx] = self.RRPV_MAX - 1      # long re-reference prediction
-
-    def on_instruction(self, valid) -> None:
-        # RRIP does not age on every access; aging happens at eviction time
-        self._clock += 1
+        self.rrpv[idx] = self.RRPV_MAX - 1   # long re-reference prediction
 
     def select_victim(self, candidates: np.ndarray) -> int | None:
         if not candidates.any():
             return None
         # age until some candidate reaches RRPV max, then evict it
+        rrpv = self.rrpv
         while True:
-            at_max = candidates & (self.A >= self.RRPV_MAX)
+            at_max = candidates & (rrpv >= self.RRPV_MAX)
             if at_max.any():
                 return int(np.flatnonzero(at_max)[0])
-            np.minimum(self.A + 1, self.RRPV_MAX, out=self.A,
-                       where=candidates)
+            np.minimum(rrpv + 1, self.RRPV_MAX, out=rrpv, where=candidates)
 
     def priority(self) -> np.ndarray:
-        return self.A
+        return self.rrpv
 
 
 @register_policy

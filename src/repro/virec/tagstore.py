@@ -63,6 +63,8 @@ class TagStore:
     # -- allocation -------------------------------------------------------------
     def free_slot(self) -> Optional[int]:
         """Index of an invalid slot, or None when the cache is full."""
+        if len(self._map) >= self.capacity:
+            return None
         free = np.flatnonzero(~self.valid)
         return int(free[0]) if free.size else None
 
@@ -127,7 +129,7 @@ class TagStore:
         self.policy.on_access(slot)
 
     def on_instruction(self) -> None:
-        self.policy.on_instruction(self.valid)
+        self.policy.on_instruction()
 
     def on_context_switch(self, prev_tid: int, new_tid: int) -> None:
         self.policy.on_context_switch(self.owner, self.valid, prev_tid, new_tid)

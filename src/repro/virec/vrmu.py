@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Union
 
-from ..isa.decoded import DecodedOp
+from ..isa.decoded import DecodedOp, Operand, reg_operands
 from ..isa.instructions import Instruction
 from ..stats.counters import Stats
 from .bsi import BackingStoreInterface
@@ -75,45 +75,55 @@ class VRMU:
         """Process one instruction's register lookups at decode time ``t``.
 
         Accepts an :class:`Instruction` or a :class:`DecodedOp` (the engine
-        passes the latter; they expose the same operand attributes).
+        passes the latter, whose operand view was built once at decode).
         Returns the cycle at which all operands are resident and readable.
         """
-        regs = inst.regs
+        operands = (inst.operands if type(inst) is DecodedOp
+                    else reg_operands(inst))
         self.last_spill_wait = 0
-        if not regs:
+        if not operands:
             return t
         self.bsi.fill_spill_wait = 0
         ts = self.tagstore
         ts.on_instruction()
-        dests = set(inst.dests)
-        srcs = set(inst.srcs)
+        tag_map = ts._map
+        fill_ready = ts.fill_ready
+        touch = ts.touch
+        fault_hook = self.fault_hook
+        probe = self.probe
 
         ready = t
         inst_slots: List[int] = []
-        missing = []
+        missing: List[Operand] = []
         segment = self.segment_regs.setdefault(tid, set())
-        for reg in regs:
-            segment.add(reg.flat)
-            slot = ts.lookup(tid, reg.flat)
+        for operand in operands:
+            reg, flat, is_src, is_dest = operand
+            segment.add(flat)
+            slot = tag_map.get((tid, flat))
             if slot is not None:
-                self.stats.inc("hits")
-                ts.touch(slot, is_write=reg in dests)
-                if self.fault_hook is not None:
-                    ready = max(ready, self.fault_hook.on_slot_read(
-                        tid, reg, slot, t, is_read=reg in srcs))
-                ready = max(ready, int(ts.fill_ready[slot]))
+                touch(slot, is_dest)
+                if fault_hook is not None:
+                    ready = max(ready, fault_hook.on_slot_read(
+                        tid, reg, slot, t, is_read=is_src))
+                ready = max(ready, int(fill_ready[slot]))
                 inst_slots.append(slot)
-                if self.probe is not None:
-                    self.probe.on_hit(tid, reg.flat, t)
+                if probe is not None:
+                    probe.on_hit(tid, flat, t)
             else:
-                self.stats.inc("misses")
-                missing.append(reg)
-                if self.probe is not None:
-                    self.probe.on_miss(tid, reg.flat, t)
-        self.stats.inc("accesses", len(regs))
+                missing.append(operand)
+                if probe is not None:
+                    probe.on_miss(tid, flat, t)
+        # one counter update per access, not per register; a key is only
+        # created once it has counted something, as with per-register incs
+        stats = self.stats
+        if inst_slots:
+            stats.inc("hits", len(inst_slots))
+        if missing:
+            stats.inc("misses", len(missing))
+        stats.inc("accesses", len(operands))
 
         t_fill = t
-        for reg in missing:
+        for _, flat, is_src, is_dest in missing:
             victim_info = None
             victim_dead = False
             slot = ts.free_slot()
@@ -129,28 +139,28 @@ class VRMU:
                     t_fill = int(future.min()) if future.size else t_fill + 1
                     self.stats.inc("victim_wait_cycles")
                     victim = ts.select_victim(inst_slots, t_fill)
-                if self.probe is not None:
-                    self.probe.on_evict(victim, tid, "capacity", t_fill)
+                if probe is not None:
+                    probe.on_evict(victim, tid, "capacity", t_fill)
                 # D is cleared when the slot is re-inserted below, so the
                 # victim's deadness must be captured before the insert
                 victim_dead = self._victim_dead(victim)
                 victim_info = ts.evict(victim)
                 slot = victim
                 self.stats.inc("spill_evictions")
-            if reg in srcs:
-                done = self.bsi.fill(t_fill, tid, reg.flat)
+            if is_src:
+                done = self.bsi.fill(t_fill, tid, flat)
                 ready = max(ready, done)
-                ts.insert(slot, tid, reg.flat, t_fill, fill_ready=done,
-                          dirty=reg in dests)
-                if self.probe is not None:
-                    self.probe.on_fill(tid, reg.flat, t_fill, done)
+                ts.insert(slot, tid, flat, t_fill, fill_ready=done,
+                          dirty=is_dest)
+                if probe is not None:
+                    probe.on_fill(tid, flat, t_fill, done)
             else:
-                done = self.bsi.dummy_fill(t_fill, tid, reg.flat)
-                ts.insert(slot, tid, reg.flat, t_fill, fill_ready=done, dirty=True)
-                if self.probe is not None:
-                    self.probe.on_fill(tid, reg.flat, t_fill, done, dummy=True)
-            if self.probe is not None:
-                self.probe.on_insert(slot, tid, reg.flat, t_fill)
+                done = self.bsi.dummy_fill(t_fill, tid, flat)
+                ts.insert(slot, tid, flat, t_fill, fill_ready=done, dirty=True)
+                if probe is not None:
+                    probe.on_fill(tid, flat, t_fill, done, dummy=True)
+            if probe is not None:
+                probe.on_insert(slot, tid, flat, t_fill)
             inst_slots.append(slot)
             # spill after the fill was issued: fills have port priority
             if victim_info is not None:
@@ -279,7 +289,7 @@ class VRMU:
             for reg in inst.regs:
                 slot = ts.lookup(tid, reg.flat)
                 if slot is not None:
-                    ts.policy.A[slot] = 0
+                    ts.policy.reset_age(slot)
                     slots.add(slot)
         ts.policy.on_flush(slots)
         self.stats.inc("flush_resets", len(slots))

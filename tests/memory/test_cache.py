@@ -1,5 +1,7 @@
 """Tests for the set-associative cache with MSHRs and register-line pinning."""
 
+import random
+
 import pytest
 
 from repro.memory import Cache, CacheConfig
@@ -87,6 +89,65 @@ def test_mshr_entries_freed_after_fill():
     r1 = c.access(0, 0x0000)
     r = c.access(r1.complete_at + 1, 0x2040)
     assert r.accepted
+
+
+class EagerMSHRReference:
+    """Reference timing of a cache that never evicts: every access first
+    frees the MSHRs whose fill is complete by its ``now``."""
+
+    def __init__(self, mshrs, latency, mem_latency):
+        self.mshrs, self.latency, self.mem_latency = mshrs, latency, mem_latency
+        self.mshr = {}
+        self.ready = {}
+
+    def access(self, now, line):
+        self.mshr = {a: c for a, c in self.mshr.items() if c > now}
+        if line in self.ready:
+            return True, max(self.ready[line], now + self.latency), None
+        if len(self.mshr) >= self.mshrs:
+            return False, None, min(self.mshr.values())
+        done = now + self.latency + self.mem_latency
+        self.ready[line] = self.mshr[line] = done
+        return False, done, None
+
+
+def _observe(cache, now, addr):
+    r = cache.access(now, addr)
+    return r.hit, (r.complete_at if r.accepted else None), r.retry_at
+
+
+def test_mshr_pruning_exact_under_non_monotonic_now():
+    """LSQ and BSI requests reach the dcache out of ``now`` order.  The
+    MSHR occupancy seen by every miss must match pruning on every access."""
+    rng = random.Random(11)
+    c, _ = make_cache(size=64 * 1024, assoc=4, mshrs=3)
+    ref = EagerMSHRReference(mshrs=3, latency=2, mem_latency=50)
+    base, full = 0, 0
+    for _ in range(600):
+        base += rng.randrange(0, 12)
+        now = max(0, base - rng.randrange(0, 90))   # up to 90 cycles late
+        addr = rng.randrange(48) * 64                # one set per line
+        expected = ref.access(now, addr)
+        assert _observe(c, now, addr) == expected, (now, addr)
+        full += expected[2] is not None
+    assert full > 20
+    assert c.stats["mshr_full"] == full
+
+
+def test_mshr_pruning_hit_raises_horizon_miss_resets_it():
+    # a hit at a later ``now`` frees fills done by then ...
+    c, _ = make_cache(size=64 * 1024, assoc=4, mshrs=1)
+    c.warm(0x40)
+    assert c.access(0, 0x1000).complete_at == 52
+    assert c.access(60, 0x40).hit
+    assert c.access(10, 0x2000).accepted
+    # ... but a fill allocated after that access is not judged by its now
+    c, _ = make_cache(size=64 * 1024, assoc=4, mshrs=1)
+    c.warm(0x40)
+    assert c.access(500, 0x40).hit
+    assert c.access(100, 0x1000).complete_at == 152
+    r = c.access(120, 0x2000)
+    assert not r.accepted and r.retry_at == 152
 
 
 def test_switch_signal_on_data_load_miss_only():

@@ -60,7 +60,7 @@ def test_dead_first_prefers_dead_victim():
     p = DeadFirstLRC(4)
     v = all_valid(4)
     for i in range(4):
-        p.on_instruction(v)
+        p.on_instruction()
         p.on_access(i)
     # entry 3 is the most recently used; dead bit must still win
     p.mark_dead(3)
@@ -71,7 +71,7 @@ def test_dead_bit_cleared_on_reaccess():
     p = DeadFirstLRC(4)
     v = all_valid(4)
     for i in range(4):
-        p.on_instruction(v)
+        p.on_instruction()
         p.on_access(i)
     p.mark_dead(2)
     p.on_access(2)                      # redefined: no longer dead
@@ -80,10 +80,9 @@ def test_dead_bit_cleared_on_reaccess():
 
 def test_plain_lrc_ignores_dead_bit():
     base, dead = LRC(4), DeadFirstLRC(4)
-    v = all_valid(4)
     for p in (base, dead):
         for i in range(4):
-            p.on_instruction(v)
+            p.on_instruction()
             p.on_access(i)
         p.mark_dead(3)
     assert (base.priority() < 128).all()       # D never reaches priority

@@ -110,9 +110,8 @@ policy_names = st.sampled_from(["plru", "lru", "mrt-plru", "mrt-lru", "lrc"])
 @settings(max_examples=60, deadline=None)
 def test_policy_never_selects_outside_candidates(name, accesses):
     pol = make_policy(name, 8)
-    valid = np.ones(8, dtype=bool)
     for idx in accesses:
-        pol.on_instruction(valid)
+        pol.on_instruction()
         pol.on_access(idx)
     cand = np.zeros(8, dtype=bool)
     cand[accesses[0]] = True
@@ -127,10 +126,10 @@ def test_lrc_retains_flushed_registers(accesses):
     pol = LRC(8)
     valid = np.ones(8, dtype=bool)
     for idx in accesses:
-        pol.on_instruction(valid)
+        pol.on_instruction()
         pol.on_access(idx)
     for _ in range(10):
-        pol.on_instruction(valid)  # saturate ages
+        pol.on_instruction()  # saturate ages
     flushed = set(a % 8 for a in accesses[:3])
     pol.on_flush(flushed)
     committed = [i for i in range(8) if i not in flushed]
